@@ -122,11 +122,7 @@ pub struct B11Stats {
 impl B11Stats {
     /// Messages per 100 ops during the stream, the float-free headline.
     pub fn msgs_per_100_ops(&self) -> u64 {
-        if self.ops == 0 {
-            0
-        } else {
-            self.msgs * 100 / self.ops
-        }
+        (self.msgs * 100).checked_div(self.ops).unwrap_or(0)
     }
 }
 

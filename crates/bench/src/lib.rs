@@ -22,6 +22,7 @@ use wfa::net::config::NetConfig;
 use wfa::obs::metrics::MetricsHandle;
 use wfa::algorithms::set_agreement::{SetAgreementC, SetAgreementS};
 
+pub mod ensembles;
 pub mod gossip;
 pub mod throughput;
 

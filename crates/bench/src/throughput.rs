@@ -115,11 +115,7 @@ pub struct CellStats {
 impl CellStats {
     /// Messages per 100 ops, the float-free efficiency headline.
     pub fn msgs_per_100_ops(&self) -> u64 {
-        if self.ops == 0 {
-            0
-        } else {
-            self.msgs * 100 / self.ops
-        }
+        (self.msgs * 100).checked_div(self.ops).unwrap_or(0)
     }
 
     fn read(obs: &MetricsHandle, runs: u64, slots: u64, ops: Option<u64>) -> CellStats {

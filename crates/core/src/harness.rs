@@ -16,6 +16,16 @@
 //! steps. This is the paper's defining quantifier — "every computation
 //! process outputs in a finite number of its own steps, regardless of the
 //! behavior of other computation processes".
+//!
+//! S-processes never halt, so a run never ends by itself. Ensemble runs end
+//! by one **settle rule** instead ([`Starve::settle`]): at the first slot
+//! where every C-process has decided, halted or been starved by the
+//! adversary. A stopped C-process whose stop time has not come yet can still
+//! decide, so the run waits for it. From that slot on no C-process steps
+//! again, so the output vector (which Δ is checked against) and each
+//! C-process's own steps equal those of the run driven to its full budget.
+//! A run where a live participant never decides still runs to the budget,
+//! which remains the wait-freedom bound.
 
 use std::error::Error;
 use std::fmt;
@@ -171,8 +181,9 @@ impl<F: FdSource> EfdRun<F> {
 
     /// Executes until every C-process has decided (returning the schedule
     /// slots consumed) or the budget runs out (`None`). S-processes never
-    /// halt, so plain [`EfdRun::run`] always exhausts its budget; use this
-    /// for latency measurements.
+    /// halt, so [`EfdRun::run`] ends early only if its scheduler ends the
+    /// run, as a [`Starve::settle`] adversary does once the output vector is
+    /// final; this method instead checks for decisions every 64 slots.
     pub fn run_until_decided(&mut self, sched: &mut dyn Scheduler, budget: u64) -> Option<u64> {
         let chunk = 64;
         let mut used = 0;
@@ -190,6 +201,13 @@ impl<F: FdSource> EfdRun<F> {
     /// A fair scheduler over all processes, seeded.
     pub fn fair_sched(&self, seed: u64) -> RandomSched {
         RandomSched::over_all(&self.executor, seed)
+    }
+
+    /// [`EfdRun::fair_sched`] minus the C-process `stops`, ending the run by
+    /// the settle rule: once every C-process has decided, halted or been
+    /// starved, so the output vector is final.
+    pub fn settling_sched(&self, seed: u64, stops: Vec<(Pid, u64)>) -> Starve<RandomSched> {
+        Starve::new(self.fair_sched(seed), stops).settle(self.roles.c_pids())
     }
 
     /// The C-process output vector `O` of the run so far.
@@ -250,6 +268,9 @@ pub struct RunReport {
     pub stop: StopReason,
     /// Steps taken by each C-process.
     pub c_steps: Vec<u64>,
+    /// The executor's logical time when the run ended. For a settled run
+    /// this is when the output vector became final.
+    pub clock: u64,
 }
 
 impl RunReport {
@@ -268,6 +289,7 @@ impl RunReport {
             undecided: run.undecided(),
             stop,
             c_steps: run.roles.c_pids().iter().map(|p| run.executor.steps(*p)).collect(),
+            clock: run.executor.clock(),
         }
     }
 
@@ -410,6 +432,8 @@ pub struct EnsembleReport {
 /// detector history via `mk_fd`, task inputs, and an adversary that stops a
 /// random subset of C-processes at random times. Every non-stopped C-process
 /// must decide within the budget; every output vector must satisfy `task`.
+/// Each run ends by the settle rule (module docs): once every C-process has
+/// decided, halted or been starved, or when the budget runs out.
 ///
 /// Returns the per-run reports on success, or *every* violation found across
 /// the ensemble (the sweep does not stop at the first offender — downstream
@@ -422,12 +446,71 @@ pub fn wait_freedom_ensemble(
     factory: &SystemFactory<'_>,
     base_seed: u64,
 ) -> Result<EnsembleReport, Vec<EnsembleViolation>> {
-    let n = cfg.n;
-    let env = wfa_fd::environment::Environment::up_to(n, max_crashes.min(n - 1));
+    let env = wfa_fd::environment::Environment::up_to(cfg.n, max_crashes.min(cfg.n - 1));
     let mut reports = Vec::new();
     let mut violations = Vec::new();
     for r in 0..cfg.runs {
-        let seed = base_seed.wrapping_mul(1_000_003).wrapping_add(r);
+        let seed = run_seed(base_seed, r);
+        let mut adv = Adversary::sample(task.as_ref(), cfg, &env, mk_fd, factory, seed);
+        let mut sched = adv.sched().settle(adv.run.roles.c_pids());
+        let stop = adv.run.run(&mut sched, cfg.budget);
+        let report = RunReport::evaluate(&adv.run, task.as_ref(), &adv.input, stop);
+        let pattern = || adv.run.fd.pattern().to_string();
+        if let Err(error) = report.validate() {
+            violations.push(EnsembleViolation::Safety {
+                seed,
+                error,
+                pattern: pattern(),
+                stops: adv.stops.clone(),
+            });
+        }
+        for (i, part) in adv.participants.iter().enumerate().take(cfg.n) {
+            let pid = adv.run.roles.c(i);
+            if *part && !adv.stops.iter().any(|(p, _)| *p == pid) && report.output[i].is_unit() {
+                violations.push(EnsembleViolation::WaitFreedom {
+                    seed,
+                    process: i,
+                    steps: adv.run.executor.steps(pid),
+                    stops: adv.stops.clone(),
+                    pattern: pattern(),
+                });
+            }
+        }
+        reports.push(report);
+    }
+    if violations.is_empty() {
+        Ok(EnsembleReport { runs: reports })
+    } else {
+        Err(violations)
+    }
+}
+
+/// The seed of run `r` of an ensemble with base seed `base_seed`.
+fn run_seed(base_seed: u64, r: u64) -> u64 {
+    base_seed.wrapping_mul(1_000_003).wrapping_add(r)
+}
+
+/// One seeded adversarial run of an ensemble, assembled but not yet run.
+struct Adversary {
+    run: EfdRun,
+    input: Vec<Value>,
+    participants: Vec<bool>,
+    stops: Vec<(Pid, u64)>,
+    seed: u64,
+}
+
+impl Adversary {
+    /// Samples inputs, failure pattern, detector history and C-process stops
+    /// from `seed`, and assembles the system.
+    fn sample(
+        task: &dyn Task,
+        cfg: &EnsembleConfig,
+        env: &wfa_fd::environment::Environment,
+        mk_fd: &dyn Fn(wfa_fd::pattern::FailurePattern, u64, u64) -> FdGen,
+        factory: &SystemFactory<'_>,
+        seed: u64,
+    ) -> Adversary {
+        let n = cfg.n;
         let mut rng = SmallRng::seed_from_u64(seed);
         // Inputs: full participation capped by the task's bound.
         let max_p = task.max_participants().min(n);
@@ -441,7 +524,7 @@ pub fn wait_freedom_ensemble(
         let pattern = env.sample(seed, cfg.stab);
         let fd = mk_fd(pattern, cfg.stab, seed);
         let (c_procs, s_procs) = factory(&input, fd.clone());
-        let mut run = EfdRun::new(c_procs, s_procs, fd);
+        let run = EfdRun::new(c_procs, s_procs, fd);
         // Stop a random subset of participating C-processes at random times.
         let mut stops: Vec<(Pid, u64)> = Vec::new();
         for i in 0..n {
@@ -449,37 +532,12 @@ pub fn wait_freedom_ensemble(
                 stops.push((run.roles.c(i), rng.gen_range(0..cfg.stab * 2)));
             }
         }
-        let base = run.fair_sched(seed ^ 0xdead);
-        let mut sched = Starve::new(base, stops.clone());
-        let stop = run.run(&mut sched, cfg.budget);
-        let report = RunReport::evaluate(&run, task.as_ref(), &input, stop);
-        if let Err(error) = report.validate() {
-            violations.push(EnsembleViolation::Safety {
-                seed,
-                error,
-                pattern: run.fd.pattern().to_string(),
-                stops: stops.clone(),
-            });
-        }
-        let stopped: Vec<Pid> = stops.iter().map(|(p, _)| *p).collect();
-        for (i, part) in participants.iter().enumerate().take(n) {
-            let pid = run.roles.c(i);
-            if *part && !stopped.contains(&pid) && report.output[i].is_unit() {
-                violations.push(EnsembleViolation::WaitFreedom {
-                    seed,
-                    process: i,
-                    steps: run.executor.steps(pid),
-                    stops: stops.clone(),
-                    pattern: run.fd.pattern().to_string(),
-                });
-            }
-        }
-        reports.push(report);
+        Adversary { run, input, participants, stops, seed }
     }
-    if violations.is_empty() {
-        Ok(EnsembleReport { runs: reports })
-    } else {
-        Err(violations)
+
+    /// The adversary's schedule: a seeded fair schedule minus the stops.
+    fn sched(&self) -> Starve<RandomSched> {
+        Starve::new(self.run.fair_sched(self.seed ^ 0xdead), self.stops.clone())
     }
 }
 
@@ -569,6 +627,103 @@ mod tests {
         )
         .expect("k-set agreement under →Ωk is wait-free");
         assert_eq!(report.runs.len(), 6);
+    }
+
+    /// The settle rule cuts runs exactly: on every seeded adversary of E5's
+    /// k-set agreement configs, the settled run leaves the same output vector
+    /// and C-process own steps as the run driven to the full budget.
+    #[test]
+    fn settled_runs_equal_full_budget_runs() {
+        use crate::solver::{theorem9_system, AdoptingTaskBuilder};
+        // Far above the latest settle of these configs, far below their
+        // wait-freedom budgets (8M), which a full run cannot afford here.
+        const FULL: u64 = 20_000;
+        for (n, k) in [(3usize, 1usize), (3, 2), (4, 2)] {
+            let task: Arc<dyn Task> = Arc::new(SetAgreement::new(n, k));
+            let builder = AdoptingTaskBuilder::new(task.clone());
+            let factory =
+                move |input: &[Value], _fd: FdGen| theorem9_system(n, k, input, builder.clone());
+            let cfg = EnsembleConfig { n, budget: FULL, stab: 120, runs: 30 };
+            let env = wfa_fd::environment::Environment::up_to(n, n - 1);
+            let mk_fd = |p, stab, seed| FdGen::vector_omega_k(p, k, stab, seed);
+            for r in 0..cfg.runs {
+                let seed = run_seed((n * 1000 + k) as u64, r);
+                let sample = || Adversary::sample(task.as_ref(), &cfg, &env, &mk_fd, &factory, seed);
+                let mut full = sample();
+                let stop = full.run.run(&mut full.sched(), FULL);
+                let full = RunReport::evaluate(&full.run, task.as_ref(), &full.input, stop);
+                let mut cut = sample();
+                let mut sched = cut.sched().settle(cut.run.roles.c_pids());
+                let stop = cut.run.run(&mut sched, FULL);
+                let cut = RunReport::evaluate(&cut.run, task.as_ref(), &cut.input, stop);
+                assert_eq!(cut.stop, StopReason::ScheduleEnded, "n={n} k={k} seed {seed}");
+                assert!(cut.clock < full.clock, "n={n} k={k} seed {seed}");
+                assert_eq!(cut.output, full.output, "n={n} k={k} seed {seed}");
+                assert_eq!(cut.c_steps, full.c_steps, "n={n} k={k} seed {seed}");
+            }
+        }
+    }
+
+    /// Decides its own index after `left` more own steps.
+    #[derive(Clone, Hash)]
+    struct DecideAfter {
+        me: usize,
+        left: u32,
+    }
+
+    impl wfa_kernel::process::Process for DecideAfter {
+        fn step(&mut self, ctx: &mut wfa_kernel::process::StepCtx<'_>) -> wfa_kernel::process::Status {
+            ctx.write(wfa_algorithms::boards::input_key(self.me), Value::Int(self.left as i64));
+            if self.left == 0 {
+                return wfa_kernel::process::Status::Decided(Value::Int(self.me as i64));
+            }
+            self.left -= 1;
+            wfa_kernel::process::Status::Running
+        }
+    }
+
+    /// Reads a register forever.
+    #[derive(Clone, Hash)]
+    struct IdleS;
+
+    impl wfa_kernel::process::Process for IdleS {
+        fn step(&mut self, ctx: &mut wfa_kernel::process::StepCtx<'_>) -> wfa_kernel::process::Status {
+            let _ = ctx.read(wfa_algorithms::boards::input_key(0));
+            wfa_kernel::process::Status::Running
+        }
+    }
+
+    /// A stopped C-process whose stop time is late decides after every
+    /// non-stopped C-process has: the settled run must wait for it.
+    #[test]
+    fn settle_waits_for_a_stopped_process_with_a_pending_stop_time() {
+        let stops = vec![(Pid(1), 5_000)];
+        let run_with = |watch: Option<&[Pid]>| {
+            let fd = FdGen::vector_omega_k(FailurePattern::failure_free(2), 1, 50, 1);
+            let c: Vec<Box<dyn DynProcess>> = vec![
+                Box::new(DecideAfter { me: 0, left: 3 }),
+                Box::new(DecideAfter { me: 1, left: 200 }),
+            ];
+            let s: Vec<Box<dyn DynProcess>> = vec![Box::new(IdleS), Box::new(IdleS)];
+            let mut run = EfdRun::new(c, s, fd);
+            let mut sched = Starve::new(run.fair_sched(9), stops.clone());
+            if let Some(watch) = watch {
+                sched = sched.settle(watch.to_vec());
+            }
+            let stop = run.run(&mut sched, 20_000);
+            RunReport::evaluate(&run, &SetAgreement::new(2, 2), &[Value::Int(0), Value::Int(1)], stop)
+        };
+        let full = run_with(None);
+        let cut = run_with(Some(&[Pid(0), Pid(1)]));
+        assert_eq!(full.output, vec![Value::Int(0), Value::Int(1)]);
+        assert_eq!(cut.stop, StopReason::ScheduleEnded);
+        assert!(cut.clock < 5_000, "settled at {}", cut.clock);
+        assert_eq!(cut.output, full.output);
+        assert_eq!(cut.c_steps, full.c_steps);
+        // A rule that ignores pending stop times (watching only the
+        // non-stopped C0) cuts the run before C1 decides.
+        let naive = run_with(Some(&[Pid(0)]));
+        assert_eq!(naive.output, vec![Value::Int(0), Value::Unit]);
     }
 
     #[test]

@@ -142,7 +142,6 @@ mod tests {
     use crate::harness::EfdRun;
     use wfa_fd::detectors::FdGen;
     use wfa_fd::pattern::FailurePattern;
-    use wfa_kernel::sched::Starve;
     use wfa_kernel::value::Pid;
     use wfa_tasks::agreement::SetAgreement;
     use wfa_tasks::task::Task;
@@ -158,8 +157,7 @@ mod tests {
         let (c, s) = theorem7_system(n, k, &inputs);
         let fd = FdGen::vector_omega_k(pattern, k, 150, seed);
         let mut run = EfdRun::new(c, s, fd);
-        let base = run.fair_sched(seed ^ 0xf00d);
-        let mut sched = Starve::new(base, stops.clone());
+        let mut sched = run.settling_sched(seed ^ 0xf00d, stops);
         run.run(&mut sched, 8_000_000);
         let out = run.output_vector();
         let task = SetAgreement::new(n, k);

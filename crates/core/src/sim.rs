@@ -573,7 +573,6 @@ mod tests {
     use wfa_fd::detectors::FdGen;
     use wfa_fd::pattern::FailurePattern;
     use wfa_kernel::process::DynProcess;
-    use wfa_kernel::sched::Starve;
     use wfa_kernel::value::Pid;
 
     type RenCode = RegisterSimCode<RenamingFig4>;
@@ -632,7 +631,7 @@ mod tests {
             let n = 3;
             let k = 2;
             let mut run = build_run(n, k, FailurePattern::failure_free(n), 150, seed);
-            let mut sched = run.fair_sched(seed);
+            let mut sched = run.settling_sched(seed, vec![]);
             run.run(&mut sched, 3_000_000);
             // All C-processes decide; simulated run is k-concurrent, j = n
             // participants: names ≤ j + k − 1.
@@ -648,7 +647,7 @@ mod tests {
             let k = 2;
             let pattern = FailurePattern::with_crashes(n, &[(0, 40), (2, 90)]);
             let mut run = build_run(n, k, pattern, 150, seed);
-            let mut sched = run.fair_sched(seed ^ 7);
+            let mut sched = run.settling_sched(seed ^ 7, vec![]);
             run.run(&mut sched, 4_000_000);
             let out = run.output_vector();
             check_names(&out, &[0, 1, 2], (n + k - 1) as i64);
@@ -663,8 +662,7 @@ mod tests {
             let n = 3;
             let k = 2;
             let mut run = build_run(n, k, FailurePattern::failure_free(n), 120, seed);
-            let base = run.fair_sched(seed ^ 3);
-            let mut sched = Starve::new(base, vec![(Pid(1), 30), (Pid(2), 30)]);
+            let mut sched = run.settling_sched(seed ^ 3, vec![(Pid(1), 30), (Pid(2), 30)]);
             run.run(&mut sched, 4_000_000);
             let out = run.output_vector();
             check_names(&out, &[0], (n + k - 1) as i64);
@@ -677,7 +675,7 @@ mod tests {
         for seed in 0..2 {
             let n = 3;
             let mut run = build_run(n, 1, FailurePattern::failure_free(n), 100, seed);
-            let mut sched = run.fair_sched(seed ^ 11);
+            let mut sched = run.settling_sched(seed ^ 11, vec![]);
             run.run(&mut sched, 4_000_000);
             let out = run.output_vector();
             check_names(&out, &[0, 1, 2], n as i64);
@@ -729,7 +727,7 @@ mod tests {
         }
         let oracle = run.executor.add_process(Box::new(Oracle));
         run.executor.step(oracle, None);
-        let mut sched = run.fair_sched(5);
+        let mut sched = run.settling_sched(5, vec![]);
         run.run(&mut sched, 2_000_000);
         let out = run.output_vector();
         assert!(
@@ -758,7 +756,7 @@ mod tests {
             .collect();
         let fd = FdGen::vector_omega_k(FailurePattern::failure_free(n), k, 80, 9);
         let mut run = EfdRun::new(c, s, fd);
-        let mut sched = run.fair_sched(11);
+        let mut sched = run.settling_sched(11, vec![]);
         run.run(&mut sched, 3_000_000);
         let out = run.output_vector();
         // The sole participant decides (renaming codes decide names).

@@ -132,7 +132,6 @@ mod tests {
     use crate::harness::{EfdRun, RunReport};
     use wfa_fd::detectors::FdGen;
     use wfa_fd::pattern::FailurePattern;
-    use wfa_kernel::sched::Starve;
     use wfa_kernel::value::Pid;
     use wfa_tasks::agreement::SetAgreement;
     use wfa_tasks::renaming::Renaming;
@@ -150,8 +149,7 @@ mod tests {
         let (c, s) = theorem9_system(n, k, &inputs, builder);
         let fd = FdGen::vector_omega_k(pattern, k, 150, seed);
         let mut run = EfdRun::new(c, s, fd);
-        let base = run.fair_sched(seed ^ 0xbeef);
-        let mut sched = Starve::new(base, stops);
+        let mut sched = run.settling_sched(seed ^ 0xbeef, stops);
         let stop = run.run(&mut sched, 6_000_000);
         let out = run.output_vector();
         let report = RunReport::evaluate(&run, &SetAgreement::new(n, k), &inputs, stop);

@@ -247,26 +247,56 @@ impl<S: Scheduler> Scheduler for Record<S> {
 /// Adversarial wrapper: suppresses steps of chosen processes after chosen
 /// times (used to check wait-freedom — other C-processes stop, the rest must
 /// still decide).
+///
+/// With [`Starve::settle`] it also ends the run as soon as the outputs of a
+/// watched set of processes are final: every watched process is either no
+/// longer running (decided or halted) or starved. Neither kind steps again,
+/// so the watched decisions and step counts equal those of the same run
+/// driven to any longer budget.
 #[derive(Clone, Debug)]
 pub struct Starve<S> {
     inner: S,
     stops: Vec<(Pid, u64)>,
+    /// Watched processes with their earliest stop time (`u64::MAX` if never
+    /// stopped); `None` runs until the inner scheduler or the budget ends.
+    settle: Option<Vec<(Pid, u64)>>,
 }
 
 impl<S: Scheduler> Starve<S> {
     /// Wraps `inner`; process `p` takes no steps at or after time `t` for
     /// every `(p, t)` in `stops`.
     pub fn new(inner: S, stops: Vec<(Pid, u64)>) -> Starve<S> {
-        Starve { inner, stops }
+        Starve { inner, stops, settle: None }
+    }
+
+    /// Ends the run (`next` returns `None`) at the first slot where every
+    /// process in `watch` is not running or starved. A stopped process whose
+    /// stop time has not come yet can still decide, so the run waits for it.
+    pub fn settle<I: IntoIterator<Item = Pid>>(mut self, watch: I) -> Starve<S> {
+        let stop_of = |p: Pid| {
+            self.stops.iter().filter(|(q, _)| *q == p).map(|(_, t)| *t).min().unwrap_or(u64::MAX)
+        };
+        self.settle = Some(watch.into_iter().map(|p| (p, stop_of(p))).collect());
+        self
     }
 
     fn starved(&self, p: Pid, now: u64) -> bool {
         self.stops.iter().any(|(q, t)| *q == p && now >= *t)
     }
+
+    fn settled(&self, ex: &Executor) -> bool {
+        let now = ex.clock();
+        self.settle
+            .as_ref()
+            .is_some_and(|watch| watch.iter().all(|(p, t)| now >= *t || !ex.status(*p).is_running()))
+    }
 }
 
 impl<S: Scheduler> Scheduler for Starve<S> {
     fn next(&mut self, ex: &Executor) -> Option<Pid> {
+        if self.settled(ex) {
+            return None;
+        }
         // Bounded retry: if the inner scheduler keeps proposing starved
         // processes, give up (schedules where only starved processes remain
         // runnable end the run).
@@ -513,6 +543,66 @@ mod tests {
         let r = run_schedule(&mut ex, &mut s, &mut NullEnv, 10_000);
         assert_eq!(r, StopReason::ScheduleEnded);
         assert_eq!(ex.steps(Pid(0)) + ex.steps(Pid(1)), 0);
+    }
+
+    /// Never decides.
+    #[derive(Clone, Hash)]
+    struct Spin;
+
+    impl Process for Spin {
+        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Status {
+            ctx.write(RegKey::new(1), Value::Int(0));
+            Status::Running
+        }
+    }
+
+    /// P0 decides after 5 own steps, P1 after 40, P2 spins forever.
+    fn exec_with_spinner() -> Executor {
+        let mut ex = Executor::new();
+        ex.add_process(Box::new(DecideAfter { left: 5 }));
+        ex.add_process(Box::new(DecideAfter { left: 40 }));
+        ex.add_process(Box::new(Spin));
+        ex
+    }
+
+    #[test]
+    fn settle_ends_the_run_once_watched_outputs_are_final() {
+        let watch = [Pid(0), Pid(1)];
+        let stops = vec![(Pid(1), 1_000)];
+        let mut full = exec_with_spinner();
+        let mut s = Starve::new(RandomSched::over_all(&full, 5), stops.clone());
+        assert_eq!(run_schedule(&mut full, &mut s, &mut NullEnv, 10_000), StopReason::BudgetExhausted);
+        let mut cut = exec_with_spinner();
+        let mut s = Starve::new(RandomSched::over_all(&cut, 5), stops).settle(watch);
+        assert_eq!(run_schedule(&mut cut, &mut s, &mut NullEnv, 10_000), StopReason::ScheduleEnded);
+        // P1's stop time lies beyond its decision: the run waits for it.
+        assert!(cut.all_decided(watch));
+        assert!(cut.clock() < 1_000);
+        for p in watch {
+            assert_eq!(cut.status(p), full.status(p));
+            assert_eq!(cut.steps(p), full.steps(p));
+        }
+    }
+
+    #[test]
+    fn settle_counts_a_starved_process_as_final() {
+        let mut ex = exec_with_spinner();
+        let mut s = Starve::new(RoundRobin::over_all(&ex), vec![(Pid(1), 12)]).settle([Pid(0), Pid(1)]);
+        assert_eq!(run_schedule(&mut ex, &mut s, &mut NullEnv, 10_000), StopReason::ScheduleEnded);
+        assert!(ex.status(Pid(1)).is_running());
+        // Slots 0..12 rotate P0, P1, P2; from 12 on P1 is skipped, and P0
+        // decides on its 6th step, in slot 14.
+        assert_eq!(ex.clock(), 15);
+    }
+
+    #[test]
+    fn settle_on_nothing_ends_at_once_and_plain_starve_never_settles() {
+        let mut ex = exec_with_spinner();
+        let mut s = Starve::new(RoundRobin::over_all(&ex), vec![]).settle([]);
+        assert_eq!(run_schedule(&mut ex, &mut s, &mut NullEnv, 100), StopReason::ScheduleEnded);
+        assert_eq!(ex.clock(), 0);
+        let mut s = Starve::new(RoundRobin::over_all(&ex), vec![]);
+        assert_eq!(run_schedule(&mut ex, &mut s, &mut NullEnv, 100), StopReason::BudgetExhausted);
     }
 
     #[test]

@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn ordering_is_total() {
-        let mut xs = vec![Value::Int(3), Value::Unit, Value::Bool(false), Value::Int(1)];
+        let mut xs = [Value::Int(3), Value::Unit, Value::Bool(false), Value::Int(1)];
         xs.sort();
         assert_eq!(xs[0], Value::Unit);
     }

@@ -249,8 +249,8 @@ mod tests {
     fn choose_output_picks_free_names() {
         let t = Renaming::new(5, 3, 4);
         let mut i = unit(5);
-        for p in 0..3 {
-            i[p] = Value::Int(1000 + p as i64);
+        for (p, v) in i.iter_mut().enumerate().take(3) {
+            *v = Value::Int(1000 + p as i64);
         }
         let mut o = unit(5);
         for p in 0..3 {
@@ -295,8 +295,8 @@ mod tests {
     fn wsb_sequential_extension_is_valid() {
         let t = WeakSymmetryBreaking::new(4, 3);
         let mut i = unit(4);
-        for p in 0..3 {
-            i[p] = Value::Int(1000 + p as i64);
+        for (p, v) in i.iter_mut().enumerate().take(3) {
+            *v = Value::Int(1000 + p as i64);
         }
         let mut o = unit(4);
         for p in 0..3 {

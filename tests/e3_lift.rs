@@ -22,7 +22,7 @@ fn e3_lift_ensembles() {
         let task: Arc<dyn Task> = Arc::new(SetAgreement::new(n, k));
         let f = move |input: &[Value], _fd: FdGen| theorem7_system(n, k, input);
         let sf: &SystemFactory<'_> = &f;
-        let cfg = EnsembleConfig { n, budget: 9_000_000, stab: 120, runs: 3 };
+        let cfg = EnsembleConfig { n, budget: 9_000_000, stab: 120, runs: 30 };
         wait_freedom_ensemble(
             task,
             &cfg,
@@ -51,7 +51,7 @@ fn e3_decisions_flow_through_the_black_box() {
         let (c, s) = theorem7_system(n, k, &inputs);
         let fd = FdGen::vector_omega_k(FailurePattern::failure_free(n), k, 100, seed);
         let mut run = EfdRun::new(c, s, fd);
-        let mut sched = run.fair_sched(seed ^ 0x3);
+        let mut sched = run.settling_sched(seed ^ 0x3, vec![]);
         run.run(&mut sched, 9_000_000);
         let out = run.output_vector();
         assert!(out.iter().all(|v| !v.is_unit()), "undecided: {out:?}");

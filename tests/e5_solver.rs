@@ -24,7 +24,7 @@ fn e5_k_set_agreement_ensembles() {
         let builder = AdoptingTaskBuilder::new(task.clone());
         let f = move |input: &[Value], _fd: FdGen| theorem9_system(n, k, input, builder.clone());
         let sf: &SystemFactory<'_> = &f;
-        let cfg = EnsembleConfig { n, budget: 8_000_000, stab: 120, runs: 3 };
+        let cfg = EnsembleConfig { n, budget: 8_000_000, stab: 120, runs: 30 };
         wait_freedom_ensemble(
             task,
             &cfg,
@@ -47,7 +47,7 @@ fn e5_renaming_ensembles() {
             theorem9_system(n, k, input, RenamingBuilder { m: n })
         };
         let sf: &SystemFactory<'_> = &f;
-        let cfg = EnsembleConfig { n, budget: 10_000_000, stab: 120, runs: 3 };
+        let cfg = EnsembleConfig { n, budget: 10_000_000, stab: 120, runs: 30 };
         wait_freedom_ensemble(
             task,
             &cfg,
