@@ -62,6 +62,17 @@ fn bench_executor(c: &mut Criterion) {
             ex.step(p, None);
         });
     });
+    // The explorer's per-child pattern: one step, then the run fingerprint.
+    g.bench_function("step_then_fingerprint", |b| {
+        let mut ex = wfa::kernel::executor::Executor::new();
+        let pids: Vec<Pid> = (0..4).map(|i| ex.add_process(Box::new(Writer(i)))).collect();
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % pids.len();
+            ex.step(pids[i], None);
+            black_box(ex.fingerprint())
+        });
+    });
     g.bench_function("fingerprint_64regs", |b| {
         let mut ex = wfa::kernel::executor::Executor::new();
         let p = ex.add_process(Box::new(Writer(0)));

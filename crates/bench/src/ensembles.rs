@@ -118,10 +118,20 @@ mod tests {
         xs[xs.len() / 2]
     }
 
-    /// `cargo test -q` wall time of the test phase at the parent commit and
-    /// with the settle rule, in seconds (see the host note in the JSON).
-    const TIER1_BEFORE_S: f64 = 366.7;
-    const TIER1_AFTER_S: f64 = 18.7;
+    /// `cargo test -q` wall time of the test phase before and after
+    /// executor fingerprints became lazy, in seconds: the mean of two runs
+    /// at each commit, run alternately (see the host note in the JSON).
+    const TIER1_BEFORE_S: f64 = 19.6;
+    const TIER1_AFTER_S: f64 = 12.8;
+
+    /// Median ns of the executor benches before and after fingerprints
+    /// became lazy: `CRITERION_JSON=out.json cargo bench -p wfa-bench
+    /// --bench kernel -- kernel/executor`, the median of three such runs
+    /// at each commit, run alternately.
+    const KERNEL_NS: [(&str, f64, f64); 2] = [
+        ("kernel/executor/step_dispatch", 476.8, 441.2),
+        ("kernel/executor/step_then_fingerprint", 539.4, 478.9),
+    ];
 
     /// Regenerates `BENCH_core.json` at the repository root:
     /// `cargo test -p wfa-bench --release emit_bench_core -- --ignored --nocapture`
@@ -142,6 +152,7 @@ mod tests {
                 }
                 let clocks: Vec<u64> = report.runs.iter().map(|r| r.clock).collect();
                 assert!(clocks.iter().all(|c| *c < case.budget), "{}: a run never settled", case.id());
+                let to_decide: Vec<u64> = report.runs.iter().map(|r| r.slots_to_decide).collect();
                 let own: Vec<u64> = report
                     .runs
                     .iter()
@@ -151,12 +162,15 @@ mod tests {
                 format!(
                     "      {{\"id\": \"{id}\", \"runs\": {RUNS}, \"budget\": {budget}, \
                      \"clock_p50\": {clock}, \"clock_max\": {clock_max}, \
+                     \"slots_to_decide_p50\": {decide}, \"slots_to_decide_max\": {decide_max}, \
                      \"own_steps_p50\": {own50}, \"own_steps_max\": {own_max}, \
                      \"wall_ms_per_run_p50\": {wall:.3}}}",
                     id = case.id(),
                     budget = case.budget,
                     clock = median(clocks.clone()),
                     clock_max = clocks.iter().max().unwrap(),
+                    decide = median(to_decide.clone()),
+                    decide_max = to_decide.iter().max().unwrap(),
                     own50 = median(own.clone()),
                     own_max = own.iter().max().unwrap(),
                     wall = median(wall_us) as f64 / 1000.0,
@@ -169,21 +183,36 @@ mod tests {
              under the harness settle rule: a run ends once every C-process has decided, \
              halted or been starved, so the output vector is final. clock_*: logical time \
              at which a run settled (before the rule every run ran its whole budget). \
+             slots_to_decide_*: RunReport::slots_to_decide, the slots run up to and \
+             including the last C-process decision; clock can be later, because a settled \
+             run also waits out the stop times of C-processes that never decide. \
              own_steps_*: own steps of every C-process that decided, over all runs. \
              wall_ms_per_run_p50: median over {SAMPLES} repetitions of the ensemble's wall \
-             time divided by its runs. Regenerate: cargo test -p wfa-bench --release \
-             emit_bench_core -- --ignored --nocapture. Methodology: EXPERIMENTS.md E3, \
-             E5.\",\n  \
-             \"date\": \"2026-10-17\",\n  \
+             time divided by its runs. kernel_ns: median ns per iteration of the executor \
+             benches (CRITERION_JSON=out.json cargo bench -p wfa-bench --bench kernel -- \
+             kernel/executor; median of three runs at each commit, run alternately) before \
+             and after executor fingerprints became lazy; step_then_fingerprint is the \
+             explorer's per-child pattern over four processes. Regenerate: cargo test -p \
+             wfa-bench --release emit_bench_core -- --ignored --nocapture (the kernel_ns \
+             and tier1_test_s figures are constants in crates/bench/src/ensembles.rs). \
+             Methodology: EXPERIMENTS.md E3, E5.\",\n  \
+             \"date\": \"2026-10-18\",\n  \
              \"host\": {{\n    \"cores\": {cores},\n    \"note\": \"Shared container \
-             host; wall times drift with the host, the clock and own-step columns are \
-             deterministic and identical on every host. tier1_test_s: wall time of the \
-             test phase of cargo test -q (built first with cargo test -q --no-run), \
-             parent commit and this one, measured on the same host.\"\n  }},\n  \
+             host; wall times drift with the host, the clock, slots_to_decide and own-step \
+             columns are deterministic and identical on every host. tier1_test_s: wall \
+             time of the test phase of cargo test -q (built first with cargo test -q \
+             --no-run), before and after executor fingerprints became lazy, measured on \
+             the same host.\"\n  }},\n  \
              \"results\": [\n{rows}\n  ],\n  \
+             \"kernel_ns\": [\n{kernel}\n  ],\n  \
              \"tier1_test_s\": {{\"before\": {TIER1_BEFORE_S:.1}, \"after\": \
              {TIER1_AFTER_S:.1}}}\n}}\n",
             rows = rows.join(",\n"),
+            kernel = KERNEL_NS
+                .map(|(id, before, after)| {
+                    format!("      {{\"id\": \"{id}\", \"before\": {before:.1}, \"after\": {after:.1}}}")
+                })
+                .join(",\n"),
         );
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.json");
         std::fs::write(path, &text).expect("write BENCH_core.json");

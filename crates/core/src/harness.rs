@@ -271,6 +271,10 @@ pub struct RunReport {
     /// The executor's logical time when the run ended. For a settled run
     /// this is when the output vector became final.
     pub clock: u64,
+    /// Slots run up to and including the last C-process decision (0 if no
+    /// C-process decided). A settled run's `clock` can be later: it also
+    /// waits out the stop times of C-processes that never decide.
+    pub slots_to_decide: u64,
 }
 
 impl RunReport {
@@ -290,6 +294,13 @@ impl RunReport {
             stop,
             c_steps: run.roles.c_pids().iter().map(|p| run.executor.steps(*p)).collect(),
             clock: run.executor.clock(),
+            slots_to_decide: run
+                .roles
+                .c_pids()
+                .iter()
+                .filter_map(|p| run.executor.decided_at(*p))
+                .max()
+                .map_or(0, |t| t + 1),
         }
     }
 
@@ -660,6 +671,8 @@ mod tests {
                 assert!(cut.clock < full.clock, "n={n} k={k} seed {seed}");
                 assert_eq!(cut.output, full.output, "n={n} k={k} seed {seed}");
                 assert_eq!(cut.c_steps, full.c_steps, "n={n} k={k} seed {seed}");
+                assert_eq!(cut.slots_to_decide, full.slots_to_decide, "n={n} k={k} seed {seed}");
+                assert!(cut.slots_to_decide <= cut.clock, "n={n} k={k} seed {seed}");
             }
         }
     }
@@ -720,10 +733,14 @@ mod tests {
         assert!(cut.clock < 5_000, "settled at {}", cut.clock);
         assert_eq!(cut.output, full.output);
         assert_eq!(cut.c_steps, full.c_steps);
+        // C1 decides last, on its 201st own step.
+        assert_eq!(cut.slots_to_decide, full.slots_to_decide);
+        assert!(cut.slots_to_decide > 200 && cut.slots_to_decide <= cut.clock);
         // A rule that ignores pending stop times (watching only the
         // non-stopped C0) cuts the run before C1 decides.
         let naive = run_with(Some(&[Pid(0)]));
         assert_eq!(naive.output, vec![Value::Int(0), Value::Unit]);
+        assert!(naive.slots_to_decide < cut.slots_to_decide);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! needs to explore interleavings.
 
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use wfa_obs::metrics::{Counter, MetricsHandle};
@@ -34,16 +35,50 @@ use crate::value::{Pid, Value};
 /// the model checker does at every branch point) is a reference-count bump
 /// per process; the automaton state is only deep-copied when a shared slot
 /// actually takes a step (copy-on-write).
-#[derive(Clone)]
 struct Slot {
     proc: Arc<dyn DynProcess>,
     status: Status,
     steps: u64,
-    /// Cached hash of (slot index, status, automaton state), maintained on
-    /// every effective step so run fingerprints are O(#processes-touched),
-    /// not a full rehash. Salted with the slot index so two slots in the same
-    /// local state don't cancel under XOR combination.
-    fp: u64,
+    /// Logical time of the step at which the process decided, if it has.
+    decided_at: Option<u64>,
+    /// Cached [`slot_fp`], or [`UNHASHED`]. Filled on demand by
+    /// [`Executor::fingerprint`], cleared by each effective step, inherited
+    /// by forks. Atomic only so `fingerprint(&self)` can fill it: relaxed
+    /// ops cost what plain ones do, while a `OnceLock` re-runs its
+    /// initialization on every clone (and the explorer clones per child).
+    /// `Relaxed` suffices because the value publishes no other data: a
+    /// racing reader that still sees `UNHASHED` computes the same hash.
+    fp: AtomicU64,
+}
+
+/// The empty cache value. A slot whose hash really is 0 is simply rehashed
+/// on every call; the fingerprint is the same either way.
+const UNHASHED: u64 = 0;
+
+impl Slot {
+    /// This slot's hash, from the cache or computed and cached.
+    fn fingerprint(&self, index: usize) -> u64 {
+        match self.fp.load(Ordering::Relaxed) {
+            UNHASHED => {
+                let fp = slot_fp(index, &self.status, &*self.proc);
+                self.fp.store(fp, Ordering::Relaxed);
+                fp
+            }
+            fp => fp,
+        }
+    }
+}
+
+impl Clone for Slot {
+    fn clone(&self) -> Slot {
+        Slot {
+            proc: self.proc.clone(),
+            status: self.status.clone(),
+            steps: self.steps,
+            decided_at: self.decided_at,
+            fp: AtomicU64::new(self.fp.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 impl std::fmt::Debug for Slot {
@@ -56,7 +91,8 @@ impl std::fmt::Debug for Slot {
     }
 }
 
-/// Hash of one slot's observable state, salted with its index.
+/// Hash of one slot's observable state, salted with its index so two slots
+/// in the same local state don't cancel under XOR combination.
 fn slot_fp(index: usize, status: &Status, proc: &dyn DynProcess) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     index.hash(&mut h);
@@ -96,9 +132,6 @@ pub struct Executor {
     /// model and pays nothing.
     backend: Option<Box<dyn MemoryBackend>>,
     slots: Vec<Slot>,
-    /// XOR of the cached per-slot fingerprints — the incremental "process
-    /// side" of [`Executor::fingerprint`].
-    procs_fp: u64,
     clock: u64,
     trace: Option<Trace>,
     /// Structured degradations drained from the backend after each step, in
@@ -124,10 +157,13 @@ impl Executor {
     /// Registers a process; its [`Pid`] is its registration index.
     pub fn add_process(&mut self, proc: Box<dyn DynProcess>) -> Pid {
         let index = self.slots.len();
-        let status = Status::Running;
-        let fp = slot_fp(index, &status, &*proc);
-        self.procs_fp ^= fp;
-        self.slots.push(Slot { proc: Arc::from(proc), status, steps: 0, fp });
+        self.slots.push(Slot {
+            proc: Arc::from(proc),
+            status: Status::Running,
+            steps: 0,
+            decided_at: None,
+            fp: AtomicU64::new(UNHASHED),
+        });
         Pid(index)
     }
 
@@ -196,6 +232,12 @@ impl Executor {
         self.slots[pid.0].steps
     }
 
+    /// Logical time of the step at which `pid` decided, or `None` while it
+    /// is undecided.
+    pub fn decided_at(&self, pid: Pid) -> Option<u64> {
+        self.slots[pid.0].decided_at
+    }
+
     /// `true` iff `pid` has taken at least one step (is *participating*).
     pub fn participating(&self, pid: Pid) -> bool {
         self.slots[pid.0].steps > 0
@@ -242,10 +284,11 @@ impl Executor {
             } else {
                 proc.step(&mut ctx)
             };
-            self.procs_fp ^= slot.fp;
-            slot.fp = slot_fp(pid.0, &slot.status, &*slot.proc);
-            self.procs_fp ^= slot.fp;
+            *slot.fp.get_mut() = UNHASHED;
             let decided = matches!(slot.status, Status::Decided(_));
+            if decided {
+                slot.decided_at = Some(now);
+            }
             if let Some(trace) = &mut self.trace {
                 trace.push(TraceEvent { time: now, pid, op: ctx.last_op(), decided });
             }
@@ -332,17 +375,19 @@ impl Executor {
     /// configuration by different-length schedules are the same state for
     /// exploration purposes.
     ///
-    /// O(1): both the memory and the process side keep incrementally
-    /// maintained content fingerprints (updated on each register write and
-    /// automaton step), so this only mixes two running hashes instead of
-    /// rehashing the full run state per visited node.
+    /// The memory side is maintained incrementally on each register write.
+    /// The process side is the XOR of per-slot hashes, each cached until the
+    /// slot's next effective step: a call rehashes only the automata that
+    /// stepped since the last call (or since the fork they were cloned in),
+    /// and costs O(#processes) when none did.
     pub fn fingerprint(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         match &self.backend {
             Some(b) => b.fingerprint(&mut h),
             None => self.mem.fingerprint(&mut h),
         }
-        self.procs_fp.hash(&mut h);
+        let procs_fp = self.slots.iter().enumerate().fold(0, |acc, (i, s)| acc ^ s.fingerprint(i));
+        procs_fp.hash(&mut h);
         h.finish()
     }
 }
@@ -436,6 +481,118 @@ mod tests {
         assert_ne!(ex.fingerprint(), fork.fingerprint());
         ex.step(Pid(1), None);
         assert_eq!(ex.fingerprint(), fork.fingerprint());
+    }
+
+    #[test]
+    fn decided_at_records_the_deciding_slot() {
+        let mut ex = two_proc_exec();
+        ex.step(Pid(0), None);
+        ex.step(Pid(1), None);
+        ex.step(Pid(1), None);
+        ex.step(Pid(1), None); // null step: the decision time stays put
+        assert_eq!(ex.decided_at(Pid(0)), None);
+        assert_eq!(ex.decided_at(Pid(1)), Some(2));
+    }
+
+    /// Counts up in its own register and halts at `limit`.
+    #[derive(Clone, Hash)]
+    struct Counter {
+        reg: u32,
+        n: i64,
+        limit: i64,
+    }
+
+    impl Process for Counter {
+        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Status {
+            self.n += 1;
+            ctx.write(RegKey::new(1).at(0, self.reg), Value::Int(self.n));
+            if self.n == self.limit {
+                Status::Halted
+            } else {
+                Status::Running
+            }
+        }
+    }
+
+    /// Snapshots `regs` registers, remembers their sum and writes it back
+    /// (or clears its cell, writing `⊥`, when the sum is even); decides after
+    /// `rounds` snapshots.
+    #[derive(Clone, Hash)]
+    struct Summer {
+        regs: u32,
+        sum: i64,
+        rounds: u32,
+        wrote: bool,
+    }
+
+    impl Process for Summer {
+        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Status {
+            if self.wrote {
+                let keys: Vec<RegKey> = (0..self.regs).map(|i| RegKey::new(1).at(0, i)).collect();
+                self.sum = ctx.snapshot(&keys).iter().filter_map(Value::as_int).sum();
+                self.rounds -= 1;
+                self.wrote = false;
+                if self.rounds == 0 {
+                    return Status::Decided(Value::Int(self.sum));
+                }
+                return Status::Running;
+            }
+            let val = if self.sum % 2 == 0 { Value::Unit } else { Value::Int(self.sum) };
+            ctx.write(RegKey::new(2), val);
+            self.wrote = true;
+            Status::Running
+        }
+    }
+
+    /// The fingerprint rebuilt from nothing: memory replayed into a fresh
+    /// register file, every slot hashed anew.
+    fn rehash(ex: &Executor) -> u64 {
+        let mut mem = SharedMemory::new();
+        for (k, v) in ex.memory().iter() {
+            mem.write(*k, v.clone());
+        }
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        mem.fingerprint(&mut h);
+        let procs =
+            ex.slots.iter().enumerate().fold(0u64, |acc, (i, s)| acc ^ slot_fp(i, &s.status, &*s.proc));
+        procs.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn cached_fingerprint_matches_a_full_rehash() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut ex = Executor::new();
+            ex.add_process(Box::new(WriteThenDecide { reg: 0, val: 7, wrote: false }));
+            ex.add_process(Box::new(Counter { reg: 1, n: 0, limit: 9 }));
+            ex.add_process(Box::new(Counter { reg: 2, n: 3, limit: 15 }));
+            ex.add_process(Box::new(Summer { regs: 3, sum: 0, rounds: 6, wrote: false }));
+            let mut runs = vec![ex];
+            for _ in 0..60 {
+                let r = rng.gen_range(0..runs.len());
+                if runs.len() < 4 && rng.gen_range(0..8) == 0 {
+                    // Fork; both sides then step on independently.
+                    let fork = runs[r].clone();
+                    assert_eq!(fork.fingerprint(), runs[r].fingerprint());
+                    runs.push(fork);
+                    continue;
+                }
+                let pid = Pid(rng.gen_range(0..runs[r].n()));
+                runs[r].step(pid, None);
+                // Ask only sometimes, so caches also go stale across steps.
+                if rng.gen_range(0..2) == 0 {
+                    for ex in &runs {
+                        assert_eq!(ex.fingerprint(), rehash(ex), "seed {seed}");
+                    }
+                }
+            }
+            for ex in &runs {
+                assert_eq!(ex.fingerprint(), rehash(ex), "seed {seed}");
+            }
+        }
     }
 
     #[test]

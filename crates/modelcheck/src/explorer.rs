@@ -437,6 +437,10 @@ fn worker(shared: &Shared<'_, '_>) -> Vec<(u64, u64)> {
             record_abort(&shared.aborted, fp, payload_string(payload.as_ref()));
         }
         if shared.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Pass through the frontier lock first: a stealer that read
+            // `pending` before the decrement still holds it until it is
+            // parked on the condvar, so the wake-up cannot fall in between.
+            drop(shared.frontier.lock().unwrap());
             shared.work.notify_all();
         }
         donate(shared, &mut local);

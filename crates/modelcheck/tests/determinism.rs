@@ -119,6 +119,26 @@ fn three_counters_stress_is_thread_invariant() {
     assert!(report.states > 1000, "graph too small to stress stealing: {}", report.states);
 }
 
+/// Many short two-worker sweeps must all end. A small instance finishes
+/// while the second worker is still starting, the moment a lost wake-up
+/// between its `pending` check and its condvar wait would park it for good.
+/// A watchdog turns such a hang into a failure.
+#[test]
+fn short_sweeps_always_terminate() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let ex = two_counters(1);
+        for _ in 0..20_000 {
+            let r = Explorer::new(ex.pids().collect(), &|_| None, Limits::default()).threads(2).run(&ex);
+            assert!(r.fully_verified());
+        }
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("a two-worker sweep never terminated (or a sweep panicked)");
+}
+
 // --- undecided cycles ------------------------------------------------------
 
 /// Spins forever reading a register (its state graph is a self-loop).
