@@ -20,8 +20,7 @@
 //! refreshed from the final minimal plan so the artifact replays against
 //! what it stores.
 //!
-//! Panic violations (a torn automaton, or the net backend under its legacy
-//! `quorum unreachable` shim) also shrink their plan: each candidate
+//! Panic violations (a torn automaton) also shrink their plan: each candidate
 //! re-runs under `catch_unwind` and is kept only if it still panics — the
 //! same criterion [`crate::run::replay`] certifies, so a shrunk panic
 //! artifact still reproduces.

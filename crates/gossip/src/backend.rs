@@ -62,7 +62,7 @@ use std::hash::{Hash, Hasher};
 use wfa_kernel::backend::{Degradation, DegradationKind, MemoryBackend, Resolution};
 use wfa_kernel::memory::{RegKey, SharedMemory};
 use wfa_kernel::value::{Pid, Value};
-use wfa_net::config::{Durability, NetFault};
+use wfa_net::config::Durability;
 use wfa_net::retry::probe_healthy;
 use wfa_net::runtime::{mix, NetRuntime};
 use wfa_obs::local as obs_local;
@@ -109,10 +109,9 @@ pub struct GossipBackend {
     ops_since_round: u64,
     /// Round number of each replica's last completed exchange half.
     last_success: Vec<u64>,
-    /// The crash/recover timeline `(tick, node, is_crash)` sorted by tick,
-    /// processed once in order by `maintain` (the ABD discipline).
-    events: Vec<(u64, usize, bool)>,
-    /// Next unprocessed entry of `events`.
+    /// Next unprocessed entry of the runtime's crash/recover timeline
+    /// (`FaultTimeline::replica_events`), replayed once, in order, by
+    /// `maintain` (the ABD discipline).
     cursor: usize,
     /// Replica is currently crashed (its exchanges are skipped and
     /// `home_of` probes past it).
@@ -144,17 +143,6 @@ pub struct GossipBackend {
 impl GossipBackend {
     /// A backend over a fresh network with empty replicas.
     pub fn new(cfg: GossipConfig) -> GossipBackend {
-        let mut events: Vec<(u64, usize, bool)> = cfg
-            .net
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                NetFault::CrashReplica { at, node } => Some((*at, *node, true)),
-                NetFault::RecoverReplica { at, node } => Some((*at, *node, false)),
-                _ => None,
-            })
-            .collect();
-        events.sort_by_key(|e| e.0);
         let n = cfg.net.nodes;
         GossipBackend {
             net: NetRuntime::new(cfg.net.clone()),
@@ -168,7 +156,6 @@ impl GossipBackend {
             rounds: 0,
             ops_since_round: 0,
             last_success: vec![0; n],
-            events,
             cursor: 0,
             crashed: vec![false; n],
             crash_round: vec![0; n],
@@ -268,8 +255,10 @@ impl GossipBackend {
     /// maintenance discipline: latest-event-wins timelines, processed once,
     /// in order). Fault-free runs take the empty fast path.
     fn maintain(&mut self, upto: u64) {
-        while self.cursor < self.events.len() && self.events[self.cursor].0 <= upto {
-            let (_, node, is_crash) = self.events[self.cursor];
+        while let Some(&(at, node, is_crash)) = self.net.faults().replica_events().get(self.cursor) {
+            if at > upto {
+                break;
+            }
             self.cursor += 1;
             if is_crash {
                 obs_local::bump(Counter::NetReplicaCrashes);
@@ -645,6 +634,7 @@ impl MemoryBackend for GossipBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wfa_net::config::NetFault;
     use wfa_obs::metrics::MetricsHandle;
 
     fn backend(nodes: usize, seed: u64) -> GossipBackend {

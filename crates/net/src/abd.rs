@@ -26,7 +26,8 @@
 //! in the tree run unchanged over the network — and what the cross-backend
 //! equivalence tests pin.
 //!
-//! **Replica failure.** [`NetFault::CrashReplica`]/[`NetFault::RecoverReplica`]
+//! **Replica failure.** [`NetFault::CrashReplica`](crate::config::NetFault::CrashReplica)/
+//! [`NetFault::RecoverReplica`](crate::config::NetFault::RecoverReplica)
 //! events crash and revive individual replicas; a crashed replica's links
 //! are cut at the same send+arrival points as partitions, and under
 //! [`Durability::Volatile`] its store is wiped. A recovered replica refuses
@@ -47,8 +48,7 @@
 //! round (no retransmission schedule — keeping degraded runs cheap); the
 //! first probe that finds a quorum ends the spell, and subsequent reads
 //! lazily repair replica state that trails the view (write-back under a
-//! fresh tag). The legacy `net: quorum unreachable` panic survives behind
-//! [`NetConfig::legacy_panic`] for the panic-isolation path.
+//! fresh tag).
 //!
 //! **Op batching** ([`NetConfig::batch_max`] > 1). The EFD algorithms hammer
 //! a small register set in tight same-process loops, so adjacent ops by one
@@ -79,7 +79,7 @@ use wfa_obs::local as obs_local;
 use wfa_obs::metrics::{Counter, HistKind};
 use wfa_obs::span::{seq, EventKind, SpanKind};
 
-use crate::config::{Durability, NetConfig, NetFault, ShardMap};
+use crate::config::{Durability, NetConfig, ShardMap};
 use crate::retry::Breaker;
 use crate::runtime::NetRuntime;
 
@@ -168,11 +168,9 @@ pub struct AbdBackend {
     /// bug in the emulation (debug-asserted while never degraded). During
     /// and after a degraded spell it is the authoritative value ops serve.
     view: SharedMemory,
-    /// The crash/recover timeline, `(tick, node, is_crash)`, sorted by tick
-    /// (stable — config order breaks ties, matching the runtime's
-    /// latest-event-wins rule). Processed once, in order, by `maintain`.
-    events: Vec<(u64, usize, bool)>,
-    /// Next unprocessed entry of `events`.
+    /// Next unprocessed entry of the runtime's crash/recover timeline
+    /// ([`FaultTimeline::replica_events`](crate::timeline::FaultTimeline::replica_events)),
+    /// which `maintain` replays once, in order.
     cursor: usize,
     /// Tick from which replica `n` serves quorum rounds: `0` from birth,
     /// `u64::MAX` barred (crashed, or recovered but awaiting re-sync), else
@@ -218,23 +216,12 @@ pub struct AbdBackend {
 impl AbdBackend {
     /// A backend over a fresh network with empty replicas.
     pub fn new(cfg: NetConfig) -> AbdBackend {
-        let mut events: Vec<(u64, usize, bool)> = cfg
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                NetFault::CrashReplica { at, node } => Some((*at, *node, true)),
-                NetFault::RecoverReplica { at, node } => Some((*at, *node, false)),
-                _ => None,
-            })
-            .collect();
-        events.sort_by_key(|e| e.0);
         let nodes = cfg.nodes;
         AbdBackend {
             net: NetRuntime::new(cfg),
             replicas: vec![Store::default(); nodes],
             dir: BTreeMap::new(),
             view: SharedMemory::new(),
-            events,
             cursor: 0,
             serving_from: vec![0; nodes],
             unsynced: vec![false; nodes],
@@ -271,11 +258,13 @@ impl AbdBackend {
     /// [`NetConfig::recovery_horizon`]. Fault-free runs take the empty
     /// fast path and send nothing.
     fn maintain(&mut self, upto: u64) {
-        if self.cursor >= self.events.len() && !self.unsynced.iter().any(|u| *u) {
+        if self.cursor >= self.net.faults().replica_events().len() && !self.unsynced.iter().any(|u| *u) {
             return;
         }
-        while self.cursor < self.events.len() && self.events[self.cursor].0 <= upto {
-            let (at, node, is_crash) = self.events[self.cursor];
+        while let Some(&(at, node, is_crash)) = self.net.faults().replica_events().get(self.cursor) {
+            if at > upto {
+                break;
+            }
             self.cursor += 1;
             if is_crash {
                 obs_local::bump(Counter::NetReplicaCrashes);
@@ -322,8 +311,7 @@ impl AbdBackend {
     /// every completed write. On success the replica serves from the pull's
     /// completion tick; on failure it stays barred for the next attempt.
     fn resync(&mut self, node: usize, at: u64) {
-        let serving = self.serving_from.clone();
-        let Some((peers, done)) = self.net.sync_round(node, at, &serving) else {
+        let Some((peers, done)) = self.net.sync_round(node, at, &self.serving_from) else {
             return;
         };
         // Per-register timestamp audit against the pulled quorum−1 peers:
@@ -371,10 +359,8 @@ impl AbdBackend {
     ///
     /// When the retransmission horizon expires without a quorum the phase
     /// records a typed [`Degradation`] (kernel time `time`), enters the
-    /// degraded spell, and returns `Err` — unless
-    /// [`NetConfig::legacy_panic`] requests the historical structured
-    /// panic. While degraded, phases probe with a single round; the first
-    /// quorum found ends the spell.
+    /// degraded spell, and returns `Err`. While degraded, phases probe with
+    /// a single round; the first quorum found ends the spell.
     fn phase(&mut self, op: &str, key: RegKey, me: Pid, time: u64) -> Result<(Vec<usize>, Vec<usize>, u64), ()> {
         let need = self.net.config().quorum();
         let start = self.net.now();
@@ -388,8 +374,7 @@ impl AbdBackend {
             }
             let sent = policy.send_tick(start, round);
             self.maintain(sent);
-            let serving = self.serving_from.clone();
-            let (acks, accepted) = self.net.round(sent, &serving);
+            let (acks, accepted) = self.net.round(sent, &self.serving_from);
             for node in accepted {
                 if !delivered.contains(&node) {
                     delivered.push(node);
@@ -423,18 +408,6 @@ impl AbdBackend {
         }
         let horizon = policy.exhaustion_horizon(start);
         self.net.advance_to(horizon);
-        if self.net.config().legacy_panic {
-            panic!(
-                "net: quorum unreachable: op={op} key=[{}:{},{}] pid={} tick={} answered={answered} needed={} nodes={}",
-                key.ns,
-                key.ix[0],
-                key.ix[1],
-                me.0,
-                horizon,
-                need,
-                self.net.config().nodes,
-            );
-        }
         obs_local::bump(Counter::NetQuorumLost);
         self.pending.push(Degradation {
             kind: DegradationKind::QuorumLost,
@@ -800,16 +773,6 @@ mod tests {
         assert!(abd.drain_degradations().is_empty(), "drain empties the stream");
         // Degraded reads serve the view.
         assert_eq!(abd.read(Pid(1), 6, RegKey::new(0)), Value::Int(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "net: quorum unreachable")]
-    fn legacy_panic_shim_keeps_the_structured_report() {
-        let mut cfg = NetConfig::new(3, 7)
-            .with_fault(NetFault::Partition { at: 0, nodes: vec![0, 1] });
-        cfg.legacy_panic = true;
-        let mut abd = AbdBackend::new(cfg);
-        abd.write(Pid(0), 0, RegKey::new(0), Value::Int(1));
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!   SplitMix draws, so the runtime forks and hashes like the kernel),
 //!   retransmission rounds, and fault windows on the network's own logical
 //!   clock;
+//! * [`timeline`] — [`timeline::FaultTimeline`]: the fault list compiled
+//!   once into a step table over network ticks, so a link check is one
+//!   binary search and a bit test, and the crash/recover event order every
+//!   backend replays;
 //! * [`abd`] — [`abd::AbdBackend`]: the two-phase majority read/write
 //!   protocol over that network, plugged into the kernel through the
 //!   [`wfa_kernel::backend::MemoryBackend`] seam. `Executor`, the Figure
@@ -35,8 +39,7 @@
 //! operations do not spin forever: the backend degrades with a typed
 //! [`wfa_kernel::backend::Degradation`] (`quorum-lost`) that flows through
 //! the `MemoryBackend` seam and that `wfa-faults` promotes to a replayable,
-//! shrinkable violation. The historical `net: quorum unreachable` panic
-//! survives only behind [`config::NetConfig::legacy_panic`].
+//! shrinkable violation.
 //!
 //! ```
 //! use wfa_kernel::prelude::*;
@@ -66,6 +69,7 @@ pub mod abd;
 pub mod config;
 pub mod retry;
 pub mod runtime;
+pub mod timeline;
 
 /// Convenient glob-import surface.
 pub mod prelude {

@@ -14,9 +14,15 @@
 //! * **non-FIFO**: messages overtake freely.
 //!
 //! Time is *network ticks*: a logical clock advanced only by message
-//! activity. Faults ([`NetFault`]) are windows on this clock; the runtime
-//! consults the (immutable) fault list functionally rather than mutating
-//! partition state, which keeps replay trivially correct.
+//! activity. Faults ([`NetFault`](crate::config::NetFault)) are windows on
+//! this clock. The fault list never changes after [`NetRuntime::new`],
+//! which compiles it once into a [`FaultTimeline`]: a step table of lossy
+//! and corrupting node bitmasks, one row per fault boundary tick. A message
+//! costs two lookups into it — one `partition_point` at send and one at
+//! arrival, each answering for both endpoints — instead of a scan of the
+//! whole list per check. No link state is mutated while messages flow,
+//! which keeps replay trivially correct; the table is derived from the
+//! config and is not hashed.
 //!
 //! Observability: the runtime counts messages through
 //! [`wfa_obs::local`] — the thread-local context the executor installs
@@ -29,8 +35,9 @@ use wfa_obs::local as obs_local;
 use wfa_obs::metrics::Counter;
 use wfa_obs::span::{seq, EventKind, SpanKind};
 
-use crate::config::{NetConfig, NetFault};
+use crate::config::NetConfig;
 use crate::retry::RetryPolicy;
+use crate::timeline::FaultTimeline;
 
 /// SplitMix64 finalizer — the statistically solid 64-bit mixer used to
 /// derive per-message delays from `(seed, message counter)` without storing
@@ -64,6 +71,8 @@ pub struct NetRuntime {
     msgs: u64,
     /// Per-channel latest delivery tick: `[to_replica..., to_client...]`.
     fifo_mark: Vec<u64>,
+    /// `cfg.faults` compiled once; derived from `cfg`, so not hashed.
+    faults: FaultTimeline,
 }
 
 impl Hash for NetRuntime {
@@ -82,12 +91,18 @@ impl NetRuntime {
         // channels the re-sync protocol pulls over:
         // `[to_replica.., to_client.., sync_req.., sync_rep..]`.
         let channels = cfg.nodes * 4;
-        NetRuntime { cfg, now: 0, msgs: 0, fifo_mark: vec![0; channels] }
+        let faults = FaultTimeline::compile(&cfg.faults, cfg.nodes);
+        NetRuntime { cfg, now: 0, msgs: 0, fifo_mark: vec![0; channels], faults }
     }
 
     /// The configuration this runtime replays.
     pub fn config(&self) -> &NetConfig {
         &self.cfg
+    }
+
+    /// The config's fault list, compiled.
+    pub fn faults(&self) -> &FaultTimeline {
+        &self.faults
     }
 
     /// The current network tick.
@@ -107,89 +122,25 @@ impl NetRuntime {
         self.cfg.min_delay + mix(self.cfg.seed ^ c.wrapping_mul(0x517c_c1b7_2722_0a95)) % span
     }
 
-    /// `true` iff replica `node` is inside an active partition at tick `t`
-    /// (the latest partition/heal event at or before `t` wins).
-    fn isolated(&self, node: usize, t: u64) -> bool {
-        let mut verdict = false;
-        let mut latest = 0u64;
-        for f in &self.cfg.faults {
-            match f {
-                NetFault::Partition { at, nodes } if *at <= t && *at >= latest => {
-                    latest = *at;
-                    verdict = nodes.contains(&node);
-                }
-                NetFault::Heal { at } if *at <= t && *at >= latest => {
-                    latest = *at;
-                    verdict = false;
-                }
-                _ => {}
-            }
-        }
-        verdict
-    }
-
-    /// `true` iff replica `node` is crashed at tick `t` (the latest
-    /// crash/recover event for that node at or before `t` wins — the same
-    /// rule partitions follow).
-    fn down(&self, node: usize, t: u64) -> bool {
-        let mut verdict = false;
-        let mut latest = 0u64;
-        for f in &self.cfg.faults {
-            match f {
-                NetFault::CrashReplica { at, node: n } if *n == node && *at <= t && *at >= latest => {
-                    latest = *at;
-                    verdict = true;
-                }
-                NetFault::RecoverReplica { at, node: n }
-                    if *n == node && *at <= t && *at >= latest =>
-                {
-                    latest = *at;
-                    verdict = false;
-                }
-                _ => {}
-            }
-        }
-        verdict
-    }
-
-    /// `true` iff a message touching `node`'s links at tick `t` is lost.
-    /// Crashes are checked here — the same send+arrival points as
-    /// partitions — so a crashed replica receives and sends nothing.
-    fn lossy(&self, node: usize, t: u64) -> bool {
-        self.isolated(node, t)
-            || self.down(node, t)
-            || self.cfg.faults.iter().any(|f| {
-                matches!(f, NetFault::Drop { at, until, node: d } if *d == node && *at <= t && t < *until)
-            })
-    }
-
-    /// `true` iff a message on `node`'s links at tick `t` falls inside an
-    /// active [`NetFault::CorruptMessage`] window.
-    fn corrupting_window(&self, node: usize, t: u64) -> bool {
-        self.cfg.faults.iter().any(|f| {
-            matches!(f, NetFault::CorruptMessage { at, until, node: c } if *c == node && *at <= t && t < *until)
-        })
-    }
-
     /// Checksum of message `c`: a splitmix64 digest of `(seed, message id)`,
     /// recomputable by the receiver without carrying payload bytes around.
     fn digest(&self, c: u64) -> u64 {
         mix(self.cfg.seed ^ c.wrapping_mul(0x2545_f491_4f6c_dd1d))
     }
 
-    /// Verifies the current message's checksum at arrival on `endpoints`'
-    /// links at tick `arrive`. In-flight corruption (the periodic
-    /// `corrupt_every` knob or an active [`NetFault::CorruptMessage`]
-    /// window) XORs a nonzero seeded flip into the payload, so the
-    /// receiver's recomputed digest can never match; the mismatch is
+    /// Verifies the current message's checksum at arrival; `corrupting`
+    /// says whether an active corrupt-message window covers one of its
+    /// endpoints. In-flight corruption (that window or the periodic
+    /// `corrupt_every` knob) XORs a nonzero seeded flip into the payload, so
+    /// the receiver's recomputed digest can never match; the mismatch is
     /// counted and the message quarantined (`false`) — the caller treats it
     /// like a drop, and a retransmission round recovers it. Messages
     /// outside any corruption source verify trivially, leaving healthy
     /// runs byte-identical.
-    fn verify(&self, endpoints: &[usize], arrive: u64) -> bool {
+    fn verify(&self, corrupting: bool) -> bool {
         let periodic =
             self.cfg.corrupt_every > 0 && self.msgs.is_multiple_of(self.cfg.corrupt_every);
-        if !periodic && !endpoints.iter().any(|n| self.corrupting_window(*n, arrive)) {
+        if !periodic && !corrupting {
             return true;
         }
         let expected = self.digest(self.msgs);
@@ -204,31 +155,42 @@ impl NetRuntime {
     /// Sends one message to (or from) replica `node` at tick `sent`;
     /// returns its delivery tick, or `None` if a link dropped it.
     fn transmit(&mut self, node: usize, dir: Dir, sent: u64) -> Option<u64> {
+        let channel = match dir {
+            Dir::ToReplica => node,
+            Dir::ToClient => self.cfg.nodes + node,
+        };
+        self.carry(node, node, channel, sent)
+    }
+
+    /// Carries one message between endpoints `a` and `b` (the same replica
+    /// for client↔replica traffic) over FIFO channel `channel`, sent at tick
+    /// `sent`. Both endpoints' links are consulted at send and at arrival —
+    /// a partition may start while the message is in flight — and the
+    /// arrival is checksummed. Returns the delivery tick, or `None` if a
+    /// link dropped the message or it was quarantined as corrupt.
+    fn carry(&mut self, a: usize, b: usize, channel: usize, sent: u64) -> Option<u64> {
         self.msgs += 1;
         obs_local::bump(Counter::NetMsgsSent);
         obs_local::bump(Counter::shard_msgs(self.cfg.shard));
         let periodic_drop = self.cfg.drop_every > 0 && self.msgs.is_multiple_of(self.cfg.drop_every);
-        if periodic_drop || self.lossy(node, sent) {
+        let at_send = self.faults.at(sent);
+        if periodic_drop || at_send.lossy(a) || at_send.lossy(b) {
             obs_local::bump(Counter::NetMsgsDropped);
             return None;
         }
         let dur = self.delay(self.msgs);
         let mut arrive = sent + dur;
-        let channel = match dir {
-            Dir::ToReplica => node,
-            Dir::ToClient => self.cfg.nodes + node,
-        };
         if self.cfg.fifo {
             // FIFO: never deliver before the channel's previous delivery.
             arrive = arrive.max(self.fifo_mark[channel]);
         }
         self.fifo_mark[channel] = arrive;
-        // A partition may have started while the message was in flight.
-        if self.lossy(node, arrive) {
+        let at_arrival = self.faults.at(arrive);
+        if at_arrival.lossy(a) || at_arrival.lossy(b) {
             obs_local::bump(Counter::NetMsgsDropped);
             return None;
         }
-        if !self.verify(&[node], arrive) {
+        if !self.verify(at_arrival.corrupting(a) || at_arrival.corrupting(b)) {
             return None; // corrupt in flight: quarantined, never delivered
         }
         obs_local::bump(Counter::NetMsgsDelivered);
@@ -376,77 +338,23 @@ impl NetRuntime {
     /// partitions, crash windows, drop windows and in-flight corruption all
     /// apply exactly as they do to quorum traffic.
     pub fn peer_send(&mut self, from: usize, to: usize, reply: bool, sent: u64) -> Option<u64> {
-        self.msgs += 1;
-        obs_local::bump(Counter::NetMsgsSent);
-        obs_local::bump(Counter::shard_msgs(self.cfg.shard));
-        let periodic_drop = self.cfg.drop_every > 0 && self.msgs.is_multiple_of(self.cfg.drop_every);
-        if periodic_drop || self.lossy(from, sent) || self.lossy(to, sent) {
-            obs_local::bump(Counter::NetMsgsDropped);
-            return None;
-        }
-        let dur = self.delay(self.msgs);
-        let mut arrive = sent + dur;
         let channel = if reply { 3 * self.cfg.nodes + to } else { 2 * self.cfg.nodes + to };
-        if self.cfg.fifo {
-            arrive = arrive.max(self.fifo_mark[channel]);
-        }
-        self.fifo_mark[channel] = arrive;
-        if self.lossy(from, arrive) || self.lossy(to, arrive) {
-            obs_local::bump(Counter::NetMsgsDropped);
-            return None;
-        }
-        if !self.verify(&[from, to], arrive) {
-            return None; // corrupt in flight: quarantined, never delivered
-        }
-        obs_local::bump(Counter::NetMsgsDelivered);
-        obs_local::event(seq::NET, EventKind::Span { kind: SpanKind::Channel, dur });
-        if self.cfg.dup_every > 0 && self.msgs.is_multiple_of(self.cfg.dup_every) {
-            obs_local::bump(Counter::NetMsgsDuplicated);
-            obs_local::bump(Counter::NetMsgsDelivered);
-        }
-        Some(arrive)
+        self.carry(from, to, channel, sent)
     }
 
     /// Sends one re-sync message between recovering replica `puller` and
     /// `peer` (request when `reply` is false, tagged-state reply back when
-    /// true). Both endpoints' links are consulted at send and arrival.
+    /// true): a [`NetRuntime::peer_send`] that counts as re-sync traffic.
     fn transmit_sync(&mut self, puller: usize, peer: usize, reply: bool, sent: u64) -> Option<u64> {
-        self.msgs += 1;
-        obs_local::bump(Counter::NetMsgsSent);
-        obs_local::bump(Counter::shard_msgs(self.cfg.shard));
         obs_local::bump(Counter::NetResyncMsgs);
-        let periodic_drop = self.cfg.drop_every > 0 && self.msgs.is_multiple_of(self.cfg.drop_every);
-        if periodic_drop || self.lossy(puller, sent) || self.lossy(peer, sent) {
-            obs_local::bump(Counter::NetMsgsDropped);
-            return None;
-        }
-        let dur = self.delay(self.msgs);
-        let mut arrive = sent + dur;
-        let channel = if reply { 3 * self.cfg.nodes + peer } else { 2 * self.cfg.nodes + peer };
-        if self.cfg.fifo {
-            arrive = arrive.max(self.fifo_mark[channel]);
-        }
-        self.fifo_mark[channel] = arrive;
-        if self.lossy(puller, arrive) || self.lossy(peer, arrive) {
-            obs_local::bump(Counter::NetMsgsDropped);
-            return None;
-        }
-        if !self.verify(&[puller, peer], arrive) {
-            return None; // corrupt in flight: quarantined, never delivered
-        }
-        obs_local::bump(Counter::NetMsgsDelivered);
-        obs_local::event(seq::NET, EventKind::Span { kind: SpanKind::Channel, dur });
-        if self.cfg.dup_every > 0 && self.msgs.is_multiple_of(self.cfg.dup_every) {
-            obs_local::bump(Counter::NetMsgsDuplicated);
-            obs_local::bump(Counter::NetMsgsDelivered);
-        }
-        Some(arrive)
+        self.peer_send(puller, peer, reply, sent)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NetFault;
     use wfa_obs::metrics::MetricsHandle;
 
     fn healthy(nodes: usize) -> NetRuntime {
@@ -558,10 +466,10 @@ mod tests {
             .with_fault(NetFault::CrashReplica { at: 0, node: 2 })
             .with_fault(NetFault::RecoverReplica { at: 50, node: 2 });
         let rt = NetRuntime::new(cfg);
-        assert!(rt.down(2, 0) && rt.down(2, 49), "crash window covers [0, 50)");
-        assert!(!rt.down(2, 50), "recovered at 50");
-        assert!(!rt.down(1, 10), "other replicas unaffected");
-        assert!(rt.lossy(2, 10) && !rt.lossy(2, 60), "crashes cut the links");
+        let faults = rt.faults();
+        assert!(faults.at(0).lossy(2) && faults.at(49).lossy(2), "crash window covers [0, 50)");
+        assert!(!faults.at(50).lossy(2), "recovered at 50");
+        assert!(!faults.at(10).lossy(1), "other replicas unaffected");
     }
 
     #[test]
